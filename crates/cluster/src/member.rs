@@ -771,12 +771,14 @@ impl Driver {
             return;
         }
         let live = self.live_members(&vs);
+        let version = self.stalled_version();
         for t in &targets {
             self.send_control(
                 *t,
                 Frame::MergeBeacon {
                     members: live.clone(),
                     stalled: self.stalled,
+                    version,
                 },
             );
         }
@@ -794,19 +796,35 @@ impl Driver {
         );
     }
 
+    /// The application state version this member advertises in merge
+    /// beacons: the provider's version while stalled, 0 otherwise. A
+    /// stalled component applies nothing, so the provider answers at
+    /// once; a component holding quorum outranks every stalled one and
+    /// never needs its version ranked.
+    fn stalled_version(&mut self) -> u64 {
+        match (&mut self.state, self.stalled) {
+            (Some(state), true) => state.version(),
+            _ => 0,
+        }
+    }
+
     /// A foreign coordinator advertised its component. Seniority (by
-    /// `(holds quorum, epoch, endpoint)`) decides direction: the junior
-    /// side requests absorption, the senior side answers with its own
-    /// beacon so the junior learns who to ask. Quorum ranks above epoch
-    /// because only a non-stalled component may have kept committing —
-    /// merged state must flow from it, never over it; a stalled side
-    /// with a racing epoch would otherwise absorb the primary and roll
-    /// back acknowledged work.
+    /// `(holds quorum, state version, epoch, endpoint)`) decides
+    /// direction: the junior side requests absorption, the senior side
+    /// answers with its own beacon so the junior learns who to ask.
+    /// Merged state flows from the senior side over the junior one, so
+    /// seniority must go to the side that committed the most. Quorum
+    /// ranks first because only a non-stalled component may have kept
+    /// committing; between two stalled components the one holding the
+    /// newer state ranks first — epochs and endpoints say nothing about
+    /// which side applied more, and ranking by them would let a stale
+    /// component ship its snapshot over one that kept committing.
     fn on_merge_beacon(
         &mut self,
         src: Endpoint,
         their_epoch: u64,
         their_stalled: bool,
+        their_version: u64,
         _now: Time,
     ) {
         if self.fenced {
@@ -837,7 +855,9 @@ impl Driver {
             their_epoch,
         );
         let live = self.live_members(&vs);
-        if (!their_stalled, their_epoch, src) > (!self.stalled, self.epoch, self.me) {
+        let version = self.stalled_version();
+        let theirs = (!their_stalled, their_version, their_epoch, src);
+        if theirs > (!self.stalled, version, self.epoch, self.me) {
             self.metrics.merge_requests.fetch_add(1, Ordering::Relaxed);
             self.send_control(src, Frame::MergeRequest { members: live });
         } else {
@@ -847,6 +867,7 @@ impl Driver {
                 Frame::MergeBeacon {
                     members: live,
                     stalled: self.stalled,
+                    version,
                 },
             );
         }
@@ -1095,8 +1116,9 @@ impl Driver {
             Frame::MergeBeacon {
                 members: _,
                 stalled,
+                version,
             } => {
-                self.on_merge_beacon(env.src, env.epoch, stalled, now);
+                self.on_merge_beacon(env.src, env.epoch, stalled, version, now);
             }
             Frame::MergeRequest { members } => {
                 self.on_merge_request(members, now);

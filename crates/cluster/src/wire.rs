@@ -23,8 +23,9 @@ use ensemble_util::Endpoint;
 /// Frame magic: "EC" (Ensemble Cluster).
 pub const MAGIC: u16 = 0x4543;
 /// Wire format version (bumped when a frame layout changes; v2 added
-/// the stalled flag to merge beacons, v3 the resume hint on Hello).
-pub const VERSION: u8 = 3;
+/// the stalled flag to merge beacons, v3 the resume hint on Hello, v4
+/// the state version on merge beacons).
+pub const VERSION: u8 = 4;
 
 const TAG_HELLO: u8 = 1;
 const TAG_WELCOME: u8 = 2;
@@ -72,6 +73,11 @@ pub enum Frame {
         /// senior to any stalled one regardless of epoch, so merged
         /// state always flows *from* the side that made progress.
         stalled: bool,
+        /// A stalled component's application state version (the KV
+        /// commit index); 0 from a component that holds quorum, which
+        /// outranks every stalled one anyway. Between two stalled
+        /// components the fresher state is senior, whatever the epochs.
+        version: u64,
     },
     /// Junior coordinator → senior coordinator: "absorb my component."
     MergeRequest {
@@ -159,9 +165,14 @@ pub fn encode(env: &Envelope, key: u64) -> Vec<u8> {
             out.extend_from_slice(snapshot);
         }
         Frame::Heartbeat { seq } => out.extend_from_slice(&seq.to_le_bytes()),
-        Frame::MergeBeacon { members, stalled } => {
+        Frame::MergeBeacon {
+            members,
+            stalled,
+            version,
+        } => {
             put_members(&mut out, members);
             out.push(*stalled as u8);
+            out.extend_from_slice(&version.to_le_bytes());
         }
         Frame::MergeRequest { members } => {
             put_members(&mut out, members);
@@ -256,7 +267,12 @@ pub fn decode(bytes: &[u8], key: u64) -> Result<Envelope, WireError> {
         TAG_MERGE_BEACON => {
             let members = get_members(&mut r)?;
             let stalled = r.u8()? != 0;
-            Frame::MergeBeacon { members, stalled }
+            let version = r.u64()?;
+            Frame::MergeBeacon {
+                members,
+                stalled,
+                version,
+            }
         }
         TAG_MERGE_REQUEST => Frame::MergeRequest {
             members: get_members(&mut r)?,
@@ -324,6 +340,7 @@ mod tests {
         let b = Frame::MergeBeacon {
             members: members.clone(),
             stalled: true,
+            version: 17,
         };
         let env = roundtrip(b.clone(), 3);
         assert_eq!(env.frame, b);

@@ -24,10 +24,10 @@
 //! * [`KvConfig`] — tunables; its `validate` mirrors analyze lint
 //!   SL010 (state-machine replication demands the `total` layer).
 //!
-//! The `kv_load` binary drives simulated and real-TCP clients against a
-//! replica group under a seeded partition schedule, emits the repo's
-//! first end-to-end wall-clock benchmark (`BENCH_kv_e2e.json`), and
-//! fails if the checker finds a violation. See `DESIGN.md`'s
+//! The `kv_chaos` and `recovery` integration tests drive simulated and
+//! real-TCP clients against a replica group under a seeded partition or
+//! crash schedule and fail if the checker finds a violation; wall-clock
+//! load numbers come from the `perfbench` benchmark. See `DESIGN.md`'s
 //! "Application plane" section for the linearizability argument.
 
 pub mod checker;

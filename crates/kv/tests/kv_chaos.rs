@@ -1,177 +1,94 @@
-//! End-to-end chaos gate: 3 replicas, 100 concurrent simulated clients,
-//! a seeded split → minority-stall → heal → merge schedule under the
-//! load, and an offline linearizability replay of the whole execution.
+//! End-to-end chaos gate: 3 replicas, 100 concurrent simulated clients
+//! plus 2 pipelining TCP clients, a seeded split → minority-stall →
+//! heal → merge schedule under the load, and an offline linearizability
+//! replay of the whole execution.
 //!
-//! This is the library-level twin of the `kv_load --chaos` CI run: it
-//! proves the service keeps a linearizable history while the membership
-//! underneath it fractures and heals.
+//! It proves the service keeps a linearizable history while the
+//! membership underneath it fractures and heals, and that a live
+//! replica exposes its request, commit and response counters.
 
-use ensemble_kv::{
-    KvConfig, KvError, KvLinearizabilityChecker, KvOp, KvReplica, KvResult, ReplicaFront,
-};
-use ensemble_runtime::{FaultPlan, LoopbackHub};
-use ensemble_util::{DetRng, Endpoint};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+mod common;
+
+use common::{Checker, DoneOnDrop, Fronts};
+use ensemble_kv::{KvLinearizabilityChecker, KvReplica};
+use std::sync::atomic::AtomicBool;
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
 
 const REPLICAS: usize = 3;
-const CLIENTS: usize = 100;
-const OPS_PER_CLIENT: usize = 10;
+const SIM_CLIENTS: usize = 100;
+const TCP_CLIENTS: usize = 2;
+const OPS_PER_CLIENT: usize = 20;
 const SEED: u64 = 42;
 const CHAOS_ROUNDS: u32 = 2;
 
-fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
-    let until = Instant::now() + deadline;
-    while !cond() {
-        assert!(Instant::now() < until, "timed out waiting for: {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn next_op(rng: &mut DetRng, client: usize) -> KvOp {
-    // A 64-key space shared by 100 clients: collisions and CAS races
-    // are the point — they give the replay something to refute.
-    let key = format!("key-{}", rng.below(64)).into_bytes();
-    let val = format!("c{client}-{}", rng.next_u64() & 0xffff).into_bytes();
-    match rng.below(100) {
-        0..=44 => KvOp::Set(key, val),
-        45..=69 => KvOp::Get(key),
-        70..=89 => KvOp::Cas {
-            key,
-            expect: if rng.chance(0.5) {
-                None
-            } else {
-                Some(val.clone())
-            },
-            new: val,
-        },
-        _ => KvOp::Del(key),
-    }
-}
-
-fn run_client(
-    client: usize,
-    fronts: &[ReplicaFront],
-    chaos_done: &AtomicBool,
-) -> Vec<(KvOp, KvResult)> {
-    let mut rng = DetRng::new(SEED ^ (0x9E3779B97F4A7C15u64.wrapping_mul(client as u64 + 1)));
-    let mut cur = client % fronts.len();
-    let mut responses = Vec::new();
-    let mut done = 0;
-    // Hold the load until the quota is met AND the chaos schedule has
-    // run: the partition must happen under real traffic.
-    while done < OPS_PER_CLIENT || !chaos_done.load(Ordering::Relaxed) {
-        done += 1;
-        let op = next_op(&mut rng, client);
-        let mut result = KvResult::Err(KvError::Closed);
-        for _attempt in 0..fronts.len() * 2 {
-            result = fronts[cur].submit_timeout(&op, Duration::from_secs(2));
-            match result {
-                KvResult::Err(KvError::NotServing) | KvResult::Err(KvError::Timeout) => {
-                    cur = (cur + 1) % fronts.len();
-                }
-                _ => break,
-            }
-        }
-        responses.push((op, result));
-    }
-    responses
-}
-
 #[test]
 fn chaos_load_stays_linearizable() {
-    let control = LoopbackHub::with_faults(SEED, FaultPlan::default());
-    let data = LoopbackHub::with_faults(SEED ^ 0x5EED, FaultPlan::default());
-    let seed_ep = Endpoint::new(0);
-    let mut formers = Vec::new();
-    for i in 0..REPLICAS as u32 {
-        let ep = Endpoint::new(i);
-        let (c, d) = (control.attach(ep), data.attach(ep));
-        let cfg = KvConfig::new(REPLICAS);
-        formers.push(std::thread::spawn(move || {
-            KvReplica::form(ep, seed_ep, cfg, Box::new(c), Box::new(d))
-        }));
-    }
-    let replicas: Vec<KvReplica> = formers
-        .into_iter()
-        .map(|f| f.join().unwrap().expect("replica rendezvous completes"))
-        .collect();
-    let fronts: Vec<ReplicaFront> = replicas.iter().map(|r| r.front()).collect();
+    let (control, data) = common::hubs(SEED);
+    let replicas: Vec<KvReplica> = common::form_group(&control, &data, REPLICAS, None);
+    let fronts: Fronts = Arc::new(RwLock::new(replicas.iter().map(|r| r.front()).collect()));
+    let listeners = common::listen(&fronts.read().unwrap(), REPLICAS).unwrap_or_default();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.addr()).collect();
+    let checker: Checker = Arc::new(Mutex::new(KvLinearizabilityChecker::new()));
+    let done = Arc::new(AtomicBool::new(false));
+    let clients = common::spawn_load(
+        SEED,
+        OPS_PER_CLIENT,
+        SIM_CLIENTS,
+        TCP_CLIENTS,
+        &fronts,
+        &addrs,
+        &checker,
+        &done,
+    );
 
     // The seeded chaos schedule, with the total-order seed (endpoint 0)
-    // always on the majority side.
-    let chaos_done = Arc::new(AtomicBool::new(false));
-    let chaos = {
-        let (control, data) = (control.clone(), data.clone());
-        let fronts = fronts.clone();
-        let done = Arc::clone(&chaos_done);
-        std::thread::spawn(move || {
-            for round in 0..CHAOS_ROUNDS {
-                std::thread::sleep(Duration::from_millis(150));
-                let groups = vec![vec![0u32, 1], vec![2u32]];
-                control.split(groups.clone());
-                data.split(groups);
-                wait_for(
-                    &format!("round {round}: minority stalls"),
-                    Duration::from_secs(20),
-                    || !fronts[2].is_serving(),
-                );
-                std::thread::sleep(Duration::from_millis(250));
-                control.heal();
-                data.heal();
-                wait_for(
-                    &format!("round {round}: healed group serves"),
-                    Duration::from_secs(30),
-                    || fronts.iter().all(|f| f.is_serving()),
-                );
-            }
-            done.store(true, Ordering::Relaxed);
-        })
-    };
-
-    let mut clients = Vec::new();
-    for c in 0..CLIENTS {
-        let fronts = fronts.clone();
-        let done = Arc::clone(&chaos_done);
-        clients.push(std::thread::spawn(move || run_client(c, &fronts, &done)));
-    }
-    let mut responses: Vec<(KvOp, KvResult)> = Vec::new();
-    for c in clients {
-        responses.extend(c.join().expect("client thread completes"));
-    }
-    chaos.join().expect("chaos thread completes");
-
-    // Quiesce: wait for replayed casts to finish committing before
-    // snapshotting the logs.
-    let mut last: Vec<usize> = Vec::new();
-    wait_for("commit logs quiesce", Duration::from_secs(30), || {
-        let now: Vec<usize> = replicas.iter().map(|r| r.commit_log().len()).collect();
-        let stable = now == last;
-        last = now;
-        std::thread::sleep(Duration::from_millis(50));
-        stable
-    });
-
-    let mut checker = KvLinearizabilityChecker::new();
-    for r in &replicas {
-        let id = r.endpoint().id();
-        for (ci, op) in r.commit_log() {
-            checker.on_commit(id, ci, op);
+    // always on the majority side. The clients keep the load up until
+    // it is done.
+    {
+        let _done = DoneOnDrop(Arc::clone(&done));
+        let serving = |i: usize| fronts.read().unwrap()[i].is_serving();
+        for round in 0..CHAOS_ROUNDS {
+            std::thread::sleep(Duration::from_millis(150));
+            let groups = vec![vec![0u32, 1], vec![2u32]];
+            control.split(groups.clone());
+            data.split(groups);
+            common::wait_for(
+                &format!("round {round}: minority stalls"),
+                Duration::from_secs(20),
+                || !serving(2),
+            );
+            std::thread::sleep(Duration::from_millis(250));
+            control.heal();
+            data.heal();
+            common::wait_for(
+                &format!("round {round}: healed group serves"),
+                Duration::from_secs(30),
+                || (0..REPLICAS).all(serving),
+            );
         }
     }
-    let ok: Vec<(KvOp, KvResult)> = responses
+    let completed: u64 = clients
         .into_iter()
-        .filter(|(_, r)| !matches!(r, KvResult::Err(_)))
-        .collect();
-    assert!(!ok.is_empty(), "some operations must have committed");
-    for (op, r) in ok {
-        checker.on_response(op, r);
+        .map(|c| c.join().expect("client thread completes"))
+        .sum();
+    assert!(completed > 0, "some operations must have committed");
+
+    common::quiesce(|| replicas.iter().map(|r| r.commit_log().len()).collect());
+    // The live exposition carries the service counters.
+    let text = replicas[0].metrics_text();
+    for name in [
+        "ensemble_kv_requests_total",
+        "ensemble_kv_commits_total",
+        "ensemble_kv_responses_total",
+    ] {
+        assert!(common::series(&text, name) > 0, "{name} never moved");
     }
-    let violations = checker.finish();
-    assert!(
-        violations.is_empty(),
-        "linearizability violations under chaos:\n{}",
-        violations.join("\n")
+    for l in listeners {
+        l.shutdown();
+    }
+    common::assert_linearizable(
+        common::take_checker(checker),
+        replicas.iter().map(|r| (r.endpoint().id(), r.commit_log())),
     );
 }

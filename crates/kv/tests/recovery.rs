@@ -20,45 +20,29 @@
 //! Either way the run must end with every replica applying the same
 //! operations at the same commit indices and the offline
 //! linearizability replay (including the recovery invariants) clean.
+//!
+//! The third test is the crash gate: eight seeded crash/restart cycles
+//! under 16 simulated and 2 TCP clients, on disks that short-write, fail
+//! fsyncs, tear tails and flip bits. It checks that every restart
+//! recovered from the WAL, that the injected faults demonstrably fired,
+//! that the recovery invariants held, and that a final crash of every
+//! replica recovers byte-identically twice.
 
+mod common;
+
+use common::{Checker, DoneOnDrop, Fronts};
 use ensemble_kv::{
-    KvConfig, KvLinearizabilityChecker, KvOp, KvReplica, KvResult, MemDisk, StorageFaults, Wal,
+    KvConfig, KvLinearizabilityChecker, KvMetrics, KvOp, KvReplica, KvResult, MemDisk,
+    StorageFaults, Wal,
 };
-use ensemble_runtime::{FaultPlan, LoopbackHub};
-use ensemble_util::Endpoint;
-use std::time::{Duration, Instant};
+use ensemble_runtime::LoopbackHub;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
+use std::time::Duration;
 
 const REPLICAS: usize = 3;
 const VICTIM: usize = 2;
 const OPS: u64 = 40;
-
-fn wait_for(what: &str, deadline: Duration, mut cond: impl FnMut() -> bool) {
-    let until = Instant::now() + deadline;
-    while !cond() {
-        assert!(Instant::now() < until, "timed out waiting for: {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Forms the durable group, one WAL per replica on its own disk.
-fn form_group(control: &LoopbackHub, data: &LoopbackHub, disks: &[MemDisk]) -> Vec<KvReplica> {
-    let seed_ep = Endpoint::new(0);
-    let mut formers = Vec::new();
-    for i in 0..REPLICAS as u32 {
-        let ep = Endpoint::new(i);
-        let (c, d) = (control.attach(ep), data.attach(ep));
-        let cfg = KvConfig::new(REPLICAS);
-        let disk = disks[i as usize].clone();
-        formers.push(std::thread::spawn(move || {
-            let wal = Wal::on_mem_disk(&disk, &format!("r{i}"), cfg.wal);
-            KvReplica::form_durable(ep, seed_ep, cfg, Box::new(c), Box::new(d), wal).map(|(r, _)| r)
-        }));
-    }
-    formers
-        .into_iter()
-        .map(|f| f.join().unwrap().expect("replica rendezvous completes"))
-        .collect()
-}
 
 /// Commits `n` Sets through `front`-replica 0 and waits until every
 /// live replica has applied them.
@@ -73,7 +57,7 @@ fn push_ops(replicas: &[&KvReplica], n: u64, from_ci: u64) {
             panic!("set {} rejected: {e:?}", from_ci + i);
         }
     }
-    wait_for(
+    common::wait_for(
         "all replicas apply the batch",
         Duration::from_secs(20),
         || {
@@ -97,28 +81,9 @@ fn crash_and_restart(
     let old_ep = victim.endpoint();
     victim.kill();
     disks[VICTIM].crash();
-    // Restarting earlier risks the coordinator folding the
-    // not-yet-suspected corpse into the rejoin merge flush.
-    wait_for(
-        "survivors evict the dead incarnation",
-        Duration::from_secs(30),
-        || {
-            survivors.iter().all(|r| {
-                r.view()
-                    .is_some_and(|v| v.nmembers() == REPLICAS - 1 && !v.members.contains(&old_ep))
-            })
-        },
-    );
-    let reborn = old_ep.reincarnate();
-    let (c, d) = (control.attach(reborn), data.attach(reborn));
-    let mut cfg = KvConfig::new(REPLICAS);
-    cfg.cluster.join_deadline = Duration::from_secs(30);
-    cfg.cluster.form_timeout = Duration::from_secs(30);
-    let wal = Wal::on_mem_disk(&disks[VICTIM], &format!("r{VICTIM}"), cfg.wal);
-    let (replica, report) =
-        KvReplica::form_durable(reborn, Endpoint::new(0), cfg, Box::new(c), Box::new(d), wal)
-            .expect("restarted replica rejoins");
-    wait_for("reborn replica serves", Duration::from_secs(30), || {
+    common::wait_evicted(survivors, old_ep);
+    let (replica, report) = common::restart(control, data, REPLICAS, &disks[VICTIM], old_ep, 1);
+    common::wait_for("reborn replica serves", Duration::from_secs(30), || {
         replica.is_serving()
     });
     (replica, report.recovered_ci())
@@ -134,36 +99,22 @@ fn replay_clean(
     recovered_ci: u64,
 ) {
     let mut checker = KvLinearizabilityChecker::new();
-    for r in survivors {
-        let id = r.endpoint().id();
-        for (ci, op) in r.commit_log() {
-            checker.on_commit(id, ci, op);
-        }
-    }
     let victim_id = reborn.endpoint().id();
-    for (ci, op) in pre_crash {
-        checker.on_commit(victim_id, ci, op);
-    }
     checker.on_recovery(victim_id, recovered_ci);
-    for (ci, op) in reborn.commit_log() {
-        checker.on_commit(victim_id, ci, op);
-    }
-    let violations = checker.finish();
-    assert!(
-        violations.is_empty(),
-        "recovery violations:\n{}",
-        violations.join("\n")
-    );
+    let logs = survivors
+        .iter()
+        .map(|r| (r.endpoint().id(), r.commit_log()))
+        .chain([(victim_id, pre_crash), (victim_id, reborn.commit_log())]);
+    common::assert_linearizable(checker, logs);
 }
 
 #[test]
 fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
-    let control = LoopbackHub::with_faults(11, FaultPlan::default());
-    let data = LoopbackHub::with_faults(11 ^ 0x5EED, FaultPlan::default());
+    let (control, data) = common::hubs(11);
     let disks: Vec<MemDisk> = (0..REPLICAS as u64)
         .map(|i| MemDisk::new(11 ^ i, StorageFaults::clean()))
         .collect();
-    let mut replicas = form_group(&control, &data, &disks);
+    let mut replicas = common::form_group(&control, &data, REPLICAS, Some(&disks));
 
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
@@ -171,7 +122,7 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
     // The idle tick force-flushes the group-commit tail; once the
     // victim's disk has no volatile bytes the WAL covers all OPS
     // records and the crash can destroy nothing.
-    wait_for("victim WAL fully synced", Duration::from_secs(10), || {
+    common::wait_for("victim WAL fully synced", Duration::from_secs(10), || {
         disks[VICTIM].pending_len() == 0
     });
 
@@ -185,7 +136,7 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
     // resume hint covered the coordinator's version and no snapshot
     // crossed the wire.
     assert_eq!(recovered_ci, OPS, "quiet crash loses nothing");
-    wait_for("fast path recorded", Duration::from_secs(10), || {
+    common::wait_for("fast path recorded", Duration::from_secs(10), || {
         reborn
             .metrics()
             .snapshots_skipped
@@ -209,8 +160,7 @@ fn quiet_crash_recovers_exactly_and_skips_the_snapshot() {
 
 #[test]
 fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
-    let control = LoopbackHub::with_faults(23, FaultPlan::default());
-    let data = LoopbackHub::with_faults(23 ^ 0x5EED, FaultPlan::default());
+    let (control, data) = common::hubs(23);
     // The victim's disk fails every fsync, so its entire WAL stays in
     // the volatile buffer; the crash then tears it to a seeded prefix.
     let disks: Vec<MemDisk> = (0..REPLICAS)
@@ -227,7 +177,7 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
             MemDisk::new(23 ^ i as u64, faults)
         })
         .collect();
-    let mut replicas = form_group(&control, &data, &disks);
+    let mut replicas = common::form_group(&control, &data, REPLICAS, Some(&disks));
 
     let all: Vec<&KvReplica> = replicas.iter().collect();
     push_ops(&all, OPS, 0);
@@ -248,7 +198,7 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
         recovered_ci < OPS,
         "torn tail must lose records (recovered {recovered_ci} of {OPS})"
     );
-    wait_for(
+    common::wait_for(
         "snapshot transfer recorded",
         Duration::from_secs(10),
         || {
@@ -263,4 +213,171 @@ fn torn_crash_recovers_a_prefix_and_catches_up_by_snapshot() {
     let group: Vec<&KvReplica> = replicas.iter().chain(std::iter::once(&reborn)).collect();
     push_ops(&group, 10, OPS);
     replay_clean(&survivors, pre_crash, &reborn, recovered_ci);
+}
+
+/// Durability counters summed over every incarnation: a crashed
+/// incarnation's counters are harvested before it is dropped.
+#[derive(Default)]
+struct Totals {
+    wal_appends: u64,
+    wal_bytes: u64,
+    absorbed_faults: u64,
+    checkpoints: u64,
+    torn_tail_records: u64,
+}
+
+impl Totals {
+    fn harvest(&mut self, m: &KvMetrics) {
+        self.wal_appends += m.wal_appends.load(Ordering::Relaxed);
+        self.wal_bytes += m.wal_bytes.load(Ordering::Relaxed);
+        self.absorbed_faults += m.wal_append_failures.load(Ordering::Relaxed);
+        self.checkpoints += m.checkpoints.load(Ordering::Relaxed);
+        self.torn_tail_records += m.torn_tail_records.load(Ordering::Relaxed);
+    }
+}
+
+#[test]
+fn crash_cycles_under_load_recover_from_the_wal() {
+    const SEED: u64 = 7;
+    const SIM_CLIENTS: usize = 16;
+    const TCP_CLIENTS: usize = 2;
+    const OPS_PER_CLIENT: usize = 40;
+    const CYCLES: u32 = 8;
+
+    let (control, data) = common::hubs(SEED);
+    // Group commit keeps a partial batch unsynced under load, so a crash
+    // regularly lands on a non-empty tail and the torn and bit-flipped
+    // tail paths run in every cycle.
+    let faults = StorageFaults {
+        short_write_p: 0.05,
+        fsync_fail_p: 0.1,
+        torn_tail_p: 0.9,
+        bit_flip_p: 0.25,
+    };
+    let disks: Vec<MemDisk> = (0..REPLICAS as u64)
+        .map(|i| MemDisk::new(SEED.wrapping_add(i).wrapping_mul(0x2545F491), faults))
+        .collect();
+    let mut replicas: Vec<Option<KvReplica>> =
+        common::form_group(&control, &data, REPLICAS, Some(&disks))
+            .into_iter()
+            .map(Some)
+            .collect();
+    let fronts: Fronts = Arc::new(RwLock::new(
+        replicas.iter().flatten().map(|r| r.front()).collect(),
+    ));
+    // Listeners keep the first incarnation's front: after a crash their
+    // replica refuses and the TCP clients redirect.
+    let listeners = common::listen(&fronts.read().unwrap(), REPLICAS).unwrap_or_default();
+    let addrs: Vec<_> = listeners.iter().map(|l| l.addr()).collect();
+    let checker: Checker = Arc::new(Mutex::new(KvLinearizabilityChecker::new()));
+    let done = Arc::new(AtomicBool::new(false));
+    let clients = common::spawn_load(
+        SEED,
+        OPS_PER_CLIENT,
+        SIM_CLIENTS,
+        TCP_CLIENTS,
+        &fronts,
+        &addrs,
+        &checker,
+        &done,
+    );
+
+    // The seeded crash schedule: each cycle kills a non-seed replica
+    // without a WAL flush, tears its disk's unsynced tail, lets the
+    // survivors absorb the loss under load, and restarts it from its
+    // own checkpoint and WAL tail. The seed stays up, so the survivors
+    // always hold quorum.
+    let mut totals = Totals::default();
+    let mut logs: Vec<(u32, Vec<(u64, KvOp)>)> = Vec::new();
+    {
+        let _done = DoneOnDrop(Arc::clone(&done));
+        for cycle in 0..CYCLES {
+            std::thread::sleep(Duration::from_millis(150));
+            let t = 1 + cycle as usize % (REPLICAS - 1);
+            let victim = replicas[t].take().expect("slot occupied between cycles");
+            totals.harvest(victim.metrics());
+            logs.push((victim.endpoint().id(), victim.commit_log()));
+            let dead = victim.endpoint();
+            victim.kill();
+            disks[t].crash();
+            let survivors: Vec<&KvReplica> = replicas.iter().flatten().collect();
+            common::wait_evicted(&survivors, dead);
+            std::thread::sleep(Duration::from_millis(200));
+            let (replica, report) = common::restart(&control, &data, REPLICAS, &disks[t], dead, 5);
+            checker
+                .lock()
+                .unwrap()
+                .on_recovery(t as u32, report.recovered_ci());
+            fronts.write().unwrap()[t] = replica.front();
+            replicas[t] = Some(replica);
+            common::wait_for(
+                &format!("cycle {cycle}: restarted replica serves"),
+                Duration::from_secs(60),
+                || fronts.read().unwrap()[t].is_serving(),
+            );
+        }
+    }
+    let completed: u64 = clients
+        .into_iter()
+        .map(|c| c.join().expect("client thread completes"))
+        .sum();
+    assert!(completed > 0, "some operations must have committed");
+    for l in listeners {
+        l.shutdown();
+    }
+
+    let live: Vec<KvReplica> = replicas.into_iter().flatten().collect();
+    common::quiesce(|| live.iter().map(|r| r.commit_log().len()).collect());
+    // The live exposition carries the durability counters.
+    let text = live[0].metrics_text();
+    for name in [
+        "ensemble_kv_wal_appends_total",
+        "ensemble_kv_wal_bytes_total",
+        "ensemble_kv_checkpoints_total",
+        "ensemble_kv_recoveries_total",
+        "ensemble_kv_torn_tail_records_total",
+    ] {
+        common::series(&text, name);
+    }
+
+    // End the hard way: kill every replica, tear its disk, and recover
+    // twice. Replaying the same log must give byte-identical state, and
+    // the recovered index feeds the recovery invariants one last time.
+    let mut checker = common::take_checker(checker);
+    for (t, r) in live.into_iter().enumerate() {
+        totals.harvest(r.metrics());
+        logs.push((r.endpoint().id(), r.commit_log()));
+        r.kill();
+        disks[t].crash();
+        let cfg = KvConfig::new(REPLICAS);
+        let first = Wal::on_mem_disk(&disks[t], &format!("r{t}"), cfg.wal)
+            .recover()
+            .expect("final recovery succeeds");
+        let second = Wal::on_mem_disk(&disks[t], &format!("r{t}"), cfg.wal)
+            .recover()
+            .expect("recovery is repeatable");
+        assert_eq!(
+            first.store.snapshot(),
+            second.store.snapshot(),
+            "replica {t}: two replays of the same log diverged"
+        );
+        assert_eq!(first.recovered_ci(), second.recovered_ci());
+        checker.on_recovery(t as u32, first.recovered_ci());
+    }
+
+    let recoveries = checker.recoveries();
+    assert!(
+        recoveries >= CYCLES as usize,
+        "{recoveries} recoveries for {CYCLES} crash cycles: a restart skipped the WAL"
+    );
+    assert!(totals.wal_appends > 0, "no WAL appends");
+    assert!(totals.wal_bytes > 0, "no WAL bytes");
+    assert!(totals.checkpoints > 0, "no checkpoints");
+    // The faults must demonstrably fire, not merely be tolerated.
+    assert!(totals.torn_tail_records > 0, "no torn tail across the run");
+    assert!(
+        totals.absorbed_faults > 0,
+        "no injected storage error absorbed"
+    );
+    common::assert_linearizable(checker, logs);
 }

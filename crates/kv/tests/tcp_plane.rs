@@ -4,9 +4,10 @@
 //! Every test binds `127.0.0.1:0`; a sandbox that denies loopback binds
 //! downgrades each test to a logged skip rather than a failure.
 
-use ensemble_kv::{KvClient, KvConfig, KvListener, KvOp, KvReplica, KvResult};
-use ensemble_runtime::{FaultPlan, LoopbackHub};
-use ensemble_util::Endpoint;
+mod common;
+
+use ensemble_kv::{KvClient, KvListener, KvOp, KvReplica, KvResult};
+use ensemble_runtime::LoopbackHub;
 use std::time::{Duration, Instant};
 
 /// Forms an n-replica group over fresh loopback hubs and starts one TCP
@@ -15,32 +16,10 @@ fn group(
     n: usize,
     seed: u64,
 ) -> Option<(Vec<KvReplica>, Vec<KvListener>, LoopbackHub, LoopbackHub)> {
-    let control = LoopbackHub::with_faults(seed, FaultPlan::default());
-    let data = LoopbackHub::with_faults(seed ^ 0x5EED, FaultPlan::default());
-    let seed_ep = Endpoint::new(0);
-    let mut formers = Vec::new();
-    for i in 0..n as u32 {
-        let ep = Endpoint::new(i);
-        let (c, d) = (control.attach(ep), data.attach(ep));
-        let cfg = KvConfig::new(n);
-        formers.push(std::thread::spawn(move || {
-            KvReplica::form(ep, seed_ep, cfg, Box::new(c), Box::new(d))
-        }));
-    }
-    let replicas: Vec<KvReplica> = formers
-        .into_iter()
-        .map(|f| f.join().unwrap().expect("replica rendezvous completes"))
-        .collect();
-    let mut listeners = Vec::new();
-    for r in &replicas {
-        match KvListener::start(r.front(), "127.0.0.1:0", (&KvConfig::new(n)).into()) {
-            Ok(l) => listeners.push(l),
-            Err(e) => {
-                eprintln!("skipping TCP plane test: bind denied ({e})");
-                return None;
-            }
-        }
-    }
+    let (control, data) = common::hubs(seed);
+    let replicas = common::form_group(&control, &data, n, None);
+    let fronts: Vec<_> = replicas.iter().map(|r| r.front()).collect();
+    let listeners = common::listen(&fronts, n)?;
     Some((replicas, listeners, control, data))
 }
 
@@ -88,11 +67,9 @@ fn client_redirects_away_from_stalled_minority() {
     let groups = vec![vec![0u32, 1], vec![2u32]];
     control.split(groups.clone());
     data.split(groups);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while fronts[2].is_serving() {
-        assert!(Instant::now() < deadline, "minority never stalled");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    common::wait_for("minority stalls", Duration::from_secs(20), || {
+        !fronts[2].is_serving()
+    });
     let addrs = vec![
         listeners[2].addr(),
         listeners[0].addr(),
@@ -120,11 +97,9 @@ fn per_request_timeout_fails_fast_when_nothing_serves() {
     let groups = vec![vec![0u32], vec![1u32], vec![2u32]];
     control.split(groups.clone());
     data.split(groups);
-    let deadline = Instant::now() + Duration::from_secs(20);
-    while fronts.iter().any(|f| f.is_serving()) {
-        assert!(Instant::now() < deadline, "replicas never all stalled");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    common::wait_for("every replica stalls", Duration::from_secs(20), || {
+        fronts.iter().all(|f| !f.is_serving())
+    });
     let addrs = listeners.iter().map(|l| l.addr()).collect();
     let mut kv = KvClient::new(addrs, Duration::from_millis(300));
     let t0 = Instant::now();

@@ -12,10 +12,17 @@
 //! `min(granted)` floor (on the `DnEvent::Suspect` that membership
 //! forwards down) breaks the deadlock: the queue drains toward the live
 //! members and the flush can complete.
+//!
+//! The coordinator's `NewView` announcement is never queued: the stack
+//! is replaced the moment the view installs, so a queued announcement —
+//! and every cast queued ahead of it, which the flush already counted —
+//! would be lost with this layer, and a member that misses it stays in
+//! the old view for good. The announcement therefore releases the whole
+//! queue, credit or not, and goes out behind it.
 
 use crate::config::LayerConfig;
 use crate::layer::Layer;
-use ensemble_event::{DnEvent, Effects, FlowHdr, Frame, Msg, UpEvent, ViewState};
+use ensemble_event::{DnEvent, Effects, FlowHdr, Frame, GmpHdr, Msg, UpEvent, ViewState};
 use ensemble_util::{Rank, Time};
 use std::collections::VecDeque;
 
@@ -85,6 +92,14 @@ impl MFlow {
     }
 }
 
+/// Whether `msg` carries `gmp`'s view announcement (a header pushed by a
+/// layer above; only consulted on the credit-starved path).
+fn is_new_view(msg: &Msg) -> bool {
+    msg.frames()
+        .iter()
+        .any(|f| matches!(f, Frame::Gmp(GmpHdr::NewView { .. })))
+}
+
 impl Layer for MFlow {
     fn name(&self) -> &'static str {
         "mflow"
@@ -137,6 +152,12 @@ impl Layer for MFlow {
         match &mut ev {
             DnEvent::Cast(msg) => {
                 if self.may_send() {
+                    let msg = std::mem::take(msg);
+                    self.transmit(msg, out);
+                } else if is_new_view(msg) {
+                    for queued in std::mem::take(&mut self.queue) {
+                        self.transmit(queued, out);
+                    }
                     let msg = std::mem::take(msg);
                     self.transmit(msg, out);
                 } else {
@@ -229,6 +250,31 @@ mod tests {
         assert_eq!(h.layer.queued_count(), 0);
         assert_eq!(out.dn.len(), 2, "drained cast + forwarded suspicion");
         assert!(matches!(out.dn[1], DnEvent::Suspect { .. }));
+    }
+
+    #[test]
+    fn view_announcement_releases_the_queue() {
+        let mut h = h(2, 0, 3);
+        h.dn(cast(b"1"));
+        h.dn(cast(b"2"));
+        h.dn(cast(b"3")).assert_silent();
+        // Both receivers are live but slow: no credit has come back when
+        // the flush ends. The announcement and the counted cast queued
+        // ahead of it must leave before this layer is discarded.
+        let mut ann = Msg::control();
+        ann.push_frame(Frame::Gmp(GmpHdr::NewView {
+            view_id_ltime: 1,
+            coord: ensemble_util::Endpoint::new(0),
+            members: vec![ensemble_util::Endpoint::new(0)],
+        }));
+        let out = h.dn(DnEvent::Cast(ann));
+        assert_eq!(h.layer.queued_count(), 0);
+        let sent: Vec<bool> = out
+            .dn
+            .iter()
+            .map(|e| is_new_view(e.msg().expect("casts only")))
+            .collect();
+        assert_eq!(sent, [false, true], "queued cast first, then the view");
     }
 
     #[test]

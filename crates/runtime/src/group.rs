@@ -205,12 +205,18 @@ pub struct GroupCore {
     /// delivered inconsistently across the view change.
     blocked: bool,
     /// The cluster driver stalled this group: its partition component
-    /// lacks quorum. Casts/sends park (like a flush window) and ingress
-    /// is *dropped* — while stalled the stack must neither originate nor
-    /// consume traffic, or the minority could deliver messages the
-    /// primary partition never agrees on. Cleared by the next installed
-    /// view (the merge) or an explicit unstall.
+    /// lacks quorum. Casts/sends park (like a flush window), ingress is
+    /// *dropped* and the stack's timers are held — while stalled the
+    /// stack must neither originate nor consume traffic, or the minority
+    /// could deliver messages the primary partition never agrees on.
+    /// Cleared by the next installed view (the merge) or an explicit
+    /// unstall.
     stalled: bool,
+    /// Timers that came due while stalled, by layer, re-armed on unstall.
+    /// A deaf stack that kept running its timers would suspect every
+    /// peer it can no longer hear and install a view of its own — a
+    /// minority serving as if it were primary.
+    held_timers: Vec<usize>,
     /// Ingress packets dropped while stalled (delta; see
     /// [`GroupCore::take_stall_drops`]).
     stall_drops: u64,
@@ -260,6 +266,7 @@ impl GroupCore {
             stash: Vec::new(),
             blocked: false,
             stalled: false,
+            held_timers: Vec::new(),
             stall_drops: 0,
             parked: Vec::new(),
             bypass_hits: 0,
@@ -314,8 +321,8 @@ impl GroupCore {
     }
 
     /// Stalls or unstalls the group (see the `stalled` field docs).
-    /// Unstalling without a view change replays parked messages into the
-    /// current view.
+    /// Unstalling without a view change re-arms the held timers and
+    /// replays parked messages into the current view.
     pub fn set_stalled(&mut self, now: Time, on: bool) -> Vec<Action> {
         let mut out = Vec::new();
         if !self.alive || self.stalled == on {
@@ -330,8 +337,17 @@ impl GroupCore {
             CcpFailure::None,
             on as u64,
         );
-        if !on && !self.blocked {
-            self.replay_parked(now, &mut out);
+        if !on {
+            for layer in self.held_timers.drain(..) {
+                out.push(Action::Timer {
+                    layer,
+                    deadline: now,
+                    generation: self.generation,
+                });
+            }
+            if !self.blocked {
+                self.replay_parked(now, &mut out);
+            }
         }
         out
     }
@@ -727,6 +743,10 @@ impl GroupCore {
         if !self.alive || generation != self.generation {
             return out; // Stale timer from a replaced stack.
         }
+        if self.stalled {
+            self.held_timers.push(layer);
+            return out;
+        }
         self.trace(
             now,
             CoreLayer::Layer(layer),
@@ -738,11 +758,6 @@ impl GroupCore {
         let b = self.engine.fire_timer(now, layer);
         self.cost.dispatches += 1;
         self.route(now, b, &mut out);
-        if self.stalled {
-            // Timers keep rescheduling (an unstall must find the stack
-            // live), but a stalled group stays silent on the wire.
-            out.retain(|a| !matches!(a, Action::Transmit(_)));
-        }
         out
     }
 
@@ -1038,6 +1053,7 @@ impl GroupCore {
         self.stash.clear();
         self.blocked = false;
         self.stalled = false;
+        self.held_timers.clear();
         let mut engine = self
             .kind
             .build(make_stack(&self.names, &vs, &self.cfg).expect("stack built once already"));
@@ -1361,6 +1377,48 @@ mod tests {
         }
         assert!(!cores[0].is_blocked(), "window closes at install");
         assert_eq!(cores[0].parked_depth(), 0);
+    }
+
+    #[test]
+    fn stalled_core_installs_no_view_of_its_own() {
+        // A stalled minority member hears nobody: its ingress is dropped.
+        // Were its timers still running, `suspect` would time out every
+        // peer and gmp would install a singleton view — the minority
+        // would then serve as if it were primary.
+        let (mut c, mut pending) = vsync_core(2, 3);
+        assert!(c.set_stalled(Time::ZERO, true).is_empty());
+        let end = Time::ZERO + ensemble_util::Duration::from_millis(500);
+        let due = |a: &Action| match a {
+            Action::Timer { deadline, .. } if *deadline <= end => Some(*deadline),
+            _ => None,
+        };
+        let mut fired = 0;
+        while let Some(i) = (0..pending.len())
+            .filter(|&i| due(&pending[i]).is_some())
+            .min_by_key(|&i| due(&pending[i]))
+        {
+            if let Action::Timer {
+                layer,
+                deadline,
+                generation,
+            } = pending.swap_remove(i)
+            {
+                pending.extend(c.fire_timer(deadline, layer, generation));
+                fired += 1;
+            }
+        }
+        assert!(fired > 0, "the vsync stack arms timers at init");
+        assert!(
+            pending.iter().all(|a| matches!(a, Action::Timer { .. })),
+            "a stalled stack neither transmits nor installs a view: {pending:?}"
+        );
+        // Unstalling re-arms every timer that came due, at once.
+        let acts = c.set_stalled(end, false);
+        assert!(
+            acts.iter()
+                .any(|a| matches!(a, Action::Timer { deadline, .. } if *deadline == end)),
+            "held timers resume: {acts:?}"
+        );
     }
 
     #[test]

@@ -1,10 +1,9 @@
-//! Deterministic subset of the rewriter-soundness property tests.
+//! Rewriter-soundness property tests over seeded random programs.
 //!
-//! `rewrite_soundness.rs` holds the proptest originals (feature-gated off
-//! the default build so it resolves offline); this file replays the same
-//! properties — simplification preserves meaning, constant folding is
-//! consistent, CCP-guided simplification is sound under the CCP, and
-//! simplification never grows a term — over seeded [`DetRng`] programs.
+//! The properties — simplification preserves meaning, constant folding
+//! is consistent, CCP-guided simplification is sound under the CCP, and
+//! simplification never grows a term — run over seeded [`DetRng`]
+//! programs, so the suite needs no external crates.
 
 use ensemble_ir::eval::Evaluator;
 use ensemble_ir::models::layer_defs;
@@ -23,8 +22,7 @@ fn state_field(n: &str) -> Term {
 }
 
 /// A random integer-valued term over `x`, `y`, `state.a`, `state.b`, and
-/// the 4-slot vector `state.v` — the same grammar as the proptest
-/// generator, driven by [`DetRng`].
+/// the 4-slot vector `state.v`, driven by [`DetRng`].
 fn int_term(rng: &mut DetRng, depth: u32) -> Term {
     if depth == 0 || rng.chance(0.3) {
         return match rng.below(5) {

@@ -1,10 +1,10 @@
-//! Deterministic subset of the wire-format property tests.
+//! Wire-format property tests over seeded random inputs.
 //!
-//! `roundtrip_props.rs` holds the proptest originals (feature-gated off
-//! the default build so it resolves offline); this file replays the same
-//! properties over a seeded [`DetRng`] workload so the default suite
-//! keeps the coverage. A failure here reproduces bit-for-bit from the
-//! seed in the test body.
+//! Each property — generic marshal round-trips, unmarshal never panics
+//! on garbage, truncation never round-trips silently, compressed headers
+//! round-trip, compressed decode never panics — runs over a seeded
+//! [`DetRng`] workload, so the suite needs no external crates. A failure
+//! here reproduces bit-for-bit from the seed in the test body.
 
 use ensemble_event::{
     CollectHdr, FlowHdr, FragHdr, Frame, MnakHdr, Msg, Payload, Pt2PtHdr, StableHdr, SuspectHdr,

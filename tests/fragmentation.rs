@@ -75,9 +75,8 @@ fn mixed_sizes_keep_order() {
     }
 }
 
-/// Deterministic randomized sweep standing in for the proptest version
-/// below: random payload sizes straddling the fragment boundary
-/// round-trip intact and in order.
+/// Deterministic randomized sweep: random payload sizes straddling the
+/// fragment boundary round-trip intact and in order.
 #[test]
 fn random_sizes_roundtrip_det() {
     let mut meta = DetRng::new(0xF4A6_0001);
@@ -104,46 +103,5 @@ fn random_sizes_roundtrip_det() {
         for (i, (_, body)) in d.iter().enumerate() {
             assert_eq!(body.len(), sizes[i], "case {case}, message {i}");
         }
-    }
-}
-
-// The original proptest property test, kept behind a feature because the
-// default build must resolve with no crates.io access. To run it, re-add
-// `proptest = "1"` as a dev-dependency of `ensemble` and pass
-// `--features proptests`.
-#[cfg(feature = "proptests")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Random payload sizes straddling the fragment boundary round-trip
-    /// intact and in order.
-    #[test]
-    fn random_sizes_roundtrip(
-        sizes in prop::collection::vec(1usize..4_000, 1..10),
-        seed in 0u64..300,
-    ) {
-        let mut sim = Simulation::new(
-            2,
-            STACK_10,
-            EngineKind::Imp,
-            LayerConfig::fast(),
-            PerfectModel::via(),
-            seed,
-        )
-        .unwrap();
-        for (i, &s) in sizes.iter().enumerate() {
-            sim.cast(0, &vec![(i % 251) as u8; s]);
-        }
-        sim.run_to_quiescence();
-        let d = sim.cast_deliveries(1);
-        prop_assert_eq!(d.len(), sizes.len());
-        for (i, (_, body)) in d.iter().enumerate() {
-            prop_assert_eq!(body.len(), sizes[i]);
-        }
-    }
     }
 }

@@ -87,9 +87,8 @@ fn nonsequencer_casts_are_ordered_by_the_sequencer() {
     assert_eq!(sim.cast_deliveries(1), expected, "sender included");
 }
 
-/// Deterministic randomized sweep standing in for the proptest version
-/// below: random interleavings of casters, payloads, and pauses always
-/// agree. Driven by [`ensemble_util::DetRng`] so it needs no external
+/// Deterministic randomized sweep: random interleavings of casters,
+/// payloads, and pauses always agree. Driven by [`ensemble_util::DetRng`] so it needs no external
 /// crates and reproduces bit-for-bit.
 #[test]
 fn random_workloads_agree_det() {
@@ -158,82 +157,5 @@ fn lossy_random_workloads_agree_det() {
         sim.run_for(Duration::from_millis(100));
         let per: Vec<Vec<(u32, Vec<u8>)>> = (0..3).map(|r| sim.cast_deliveries(r)).collect();
         assert!(total_order_agreement(&per), "case {case}");
-    }
-}
-
-// The original proptest property tests, kept behind a feature because the
-// default build must resolve with no crates.io access. To run them, re-add
-// `proptest = "1"` as a dev-dependency of `ensemble` and pass
-// `--features proptests`.
-#[cfg(feature = "proptests")]
-mod props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random interleavings of casters, payloads, and pauses always agree.
-    #[test]
-    fn random_workloads_agree(
-        ops in prop::collection::vec((0u32..3, 1usize..24), 1..40),
-        seed in 0u64..1000,
-    ) {
-        let mut sim = Simulation::new(
-            3,
-            STACK_10,
-            EngineKind::Imp,
-            LayerConfig::fast(),
-            PerfectModel::via(),
-            seed,
-        )
-        .unwrap();
-        let mut sent = 0usize;
-        for (sender, len) in &ops {
-            sim.cast(*sender, &vec![*sender as u8; *len]);
-            sent += 1;
-            if sent.is_multiple_of(5) {
-                sim.run_for(Duration::from_micros(50));
-            }
-        }
-        sim.run_to_quiescence();
-        let per: Vec<Vec<(u32, Vec<u8>)>> =
-            (0..3).map(|r| sim.cast_deliveries(r)).collect();
-        prop_assert!(total_order_agreement(&per));
-        for (r, d) in per.iter().enumerate() {
-            prop_assert_eq!(d.len(), ops.len(), "rank {} delivered all", r);
-        }
-    }
-
-    /// Under loss, whatever prefix is delivered agrees.
-    #[test]
-    fn lossy_random_workloads_agree(
-        nmsgs in 1usize..20,
-        drop in 0u32..30,
-        seed in 0u64..500,
-    ) {
-        let mut sim = Simulation::new(
-            3,
-            STACK_10,
-            EngineKind::Imp,
-            LayerConfig::fast(),
-            LossyModel {
-                latency: Duration::from_micros(20),
-                jitter: Duration::from_micros(40),
-                drop_p: drop as f64 / 100.0,
-                dup_p: 0.02,
-            },
-            seed,
-        )
-        .unwrap();
-        for i in 0..nmsgs {
-            sim.cast((i % 3) as u32, &[i as u8]);
-            sim.run_for(Duration::from_micros(200));
-        }
-        sim.run_for(Duration::from_millis(100));
-        let per: Vec<Vec<(u32, Vec<u8>)>> =
-            (0..3).map(|r| sim.cast_deliveries(r)).collect();
-        prop_assert!(total_order_agreement(&per));
-    }
     }
 }
